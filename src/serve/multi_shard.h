@@ -20,7 +20,7 @@
 // ~K/(N+1) keys consistent hashing promises. remove_shard first removes the
 // member from the ring (no NEW request can route there), then drains the
 // victim: requests already admitted complete on the old shard ("complete on
-// old"), requests parked at its gate or queue wake with kShutdown and
+// old"), requests parked in its queue's FIFO wake with kShutdown and
 // submit() transparently re-routes them with the updated ring ("reroute to
 // new") — every in-flight request reaches exactly one typed terminal
 // status, never dropped, never served by two shards. Shard ids are never
@@ -29,15 +29,17 @@
 // Membership reads take a shared lock; only resizes take it exclusively,
 // and resizes/swaps serialize on one control-plane mutex.
 //
-// Tenant isolation: each tenant owns a bounded quota of every shard's
-// admission slots (tenant_quota: floor(queue_share * queue_capacity),
-// min 1). The quota gate counts the tenant's OUTSTANDING requests per shard
-// — queued, collated, or executing — which upper-bounds the tenant's queue
-// occupancy, so a tenant saturating its quota can exhaust neither the shard
-// queue nor another tenant's slots. Over-quota behaviour follows the
-// tenant's own admission policy: kReject fails fast with Status::kRejected
-// before touching the shard queue; kBlock waits at the gate until the
-// tenant drops below quota (or shutdown/retirement wakes it).
+// Tenant isolation: every shard Server holds the tenant table, and its
+// ServeCore (serve_core.h) enforces each tenant's quota of the shard queue
+// (tenant_quota: floor(queue_share * queue_capacity), min 1) — the same rule
+// the replay runs. The quota counts the queue slots a tenant holds, so a
+// tenant saturating its quota can exhaust neither the shard queue nor
+// another tenant's slots. Over-quota behaviour follows the tenant's own
+// admission policy: kReject fails fast with Status::kRejected; kBlock parks
+// in the shard's FIFO until a flush frees a slot within its quota (or
+// shutdown/retirement hands it back). A tenant's relative deadline is turned
+// into an absolute one once, at entry to submit(), so neither parking nor a
+// reroute re-arms it.
 //
 // Accounting: per-tenant terminal-status counters and completed-request
 // latency samples (p50/p99 via percentile_ns), per-shard routed counts for
@@ -49,7 +51,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -60,6 +61,7 @@
 #include "core/check.h"
 #include "obs/obs.h"
 #include "serve/serve.h"
+#include "serve/serve_core.h"
 #include "serve/server.h"
 #include "serve/shard.h"
 
@@ -106,18 +108,14 @@ class MultiShardServer {
   MultiShardServer(const MultiShardConfig& cfg, const BackendFactory& factory)
       : cfg_(normalize(cfg)), router_(cfg_.num_shards, cfg_.vnodes) {
     ENW_CHECK_MSG(static_cast<bool>(factory), "backend factory must be callable");
-    quotas_.reserve(cfg_.tenants.size());
-    for (const TenantPolicy& t : cfg_.tenants) {
-      quotas_.push_back(tenant_quota(t, cfg_.shard.queue_capacity));
-    }
     tenants_.reserve(cfg_.tenants.size());
     for (std::size_t t = 0; t < cfg_.tenants.size(); ++t) {
       tenants_.push_back(std::make_unique<TenantState>());
     }
     shards_.reserve(cfg_.num_shards);
     for (std::size_t s = 0; s < cfg_.num_shards; ++s) {
-      shards_.push_back(std::make_unique<Shard>(cfg_.shard, factory(s),
-                                                cfg_.tenants.size()));
+      shards_.push_back(
+          std::make_unique<Shard>(cfg_.shard, factory(s), cfg_.tenants));
     }
   }
 
@@ -152,7 +150,9 @@ class MultiShardServer {
   Reply submit(const In& input, std::uint64_t key, std::size_t tenant = 0) {
     ENW_SPAN("serve.shard.submit");
     ENW_CHECK_MSG(tenant < cfg_.tenants.size(), "unknown tenant id");
-    const TenantPolicy& policy = cfg_.tenants[tenant];
+    // The tenant deadline counts from entry, once: a reroute keeps it.
+    const std::uint64_t deadline =
+        resolve_deadline(cfg_.tenants[tenant], 0, monotonic_now_ns());
     for (;;) {
       Shard* shard;
       std::size_t s;
@@ -164,65 +164,18 @@ class MultiShardServer {
       shard->routed.fetch_add(1, std::memory_order_relaxed);
       obs::counter_add_indexed("serve.shard.routed", s, 1);
 
-      // Tenant quota gate: bound this tenant's outstanding requests on the
-      // shard BEFORE touching the shard queue, so its over-budget traffic is
-      // turned away (or parked) without consuming shared admission slots.
-      {
-        std::unique_lock<std::mutex> lk(shard->gate_mu);
-        while (shard->outstanding[tenant] >= quotas_[tenant] &&
-               !shard->stopping) {
-          if (policy.admission == AdmissionPolicy::kReject) {
-            Reply reply;
-            reply.status = Status::kRejected;
-            record(tenant, reply);
-            obs::counter_add_indexed("serve.tenant.rejected", tenant, 1);
-            return reply;
-          }
-          shard->gate_cv.wait(lk);
-        }
-        if (shard->stopping) {
-          if (!stopping_.load(std::memory_order_acquire)) {
-            // Shard retired, server still running: re-route with the
-            // post-resize ring. The request was never admitted here, so the
-            // retry cannot double-serve it.
-            lk.unlock();
-            rerouted_.fetch_add(1, std::memory_order_relaxed);
-            obs::counter_add("serve.shard.resize.rerouted", 1);
-            continue;
-          }
-          Reply reply;
-          reply.status = Status::kShutdown;
-          record(tenant, reply);
-          return reply;
-        }
-        ++shard->outstanding[tenant];
-      }
-
-      const std::uint64_t deadline =
-          policy.deadline_ns == 0 ? 0 : monotonic_now_ns() + policy.deadline_ns;
-      Reply reply = shard->server.submit(input, deadline, policy.admission);
-
-      {
-        std::lock_guard<std::mutex> lk(shard->gate_mu);
-        --shard->outstanding[tenant];
-        shard->gate_cv.notify_all();
-      }
+      Reply reply = shard->server.submit(input, deadline, tenant);
       if (reply.status == Status::kShutdown &&
           !stopping_.load(std::memory_order_acquire)) {
-        // The shard began draining for retirement while this request was
-        // parked on its full queue — Server::shutdown wakes those with
-        // kShutdown WITHOUT admitting them, so re-routing serves the request
-        // exactly once on its new owner.
+        // The shard retired before admitting this request — it was routed
+        // on the old ring, or parked in the shard's FIFO, and
+        // Server::shutdown hands parked requests back unadmitted — so
+        // re-routing serves it exactly once on its new owner.
         rerouted_.fetch_add(1, std::memory_order_relaxed);
         obs::counter_add("serve.shard.resize.rerouted", 1);
         continue;
       }
       record(tenant, reply);
-      if (reply.status == Status::kTimedOut) {
-        obs::counter_add_indexed("serve.tenant.shed", tenant, 1);
-      } else if (reply.status == Status::kOk) {
-        obs::counter_add_indexed("serve.tenant.completed", tenant, 1);
-      }
       return reply;
     }
   }
@@ -239,8 +192,7 @@ class MultiShardServer {
     ENW_CHECK_MSG(static_cast<bool>(factory), "backend factory must be callable");
     std::lock_guard<std::mutex> resize_lk(resize_mu_);
     const std::size_t id = router_.next_shard_id();  // stable under resize_mu_
-    auto shard =
-        std::make_unique<Shard>(cfg_.shard, factory(id), cfg_.tenants.size());
+    auto shard = std::make_unique<Shard>(cfg_.shard, factory(id), cfg_.tenants);
     {
       std::unique_lock<std::shared_mutex> lk(route_mu_);
       shards_.push_back(std::move(shard));
@@ -254,7 +206,7 @@ class MultiShardServer {
 
   /// Retire shard `s` under live traffic. The ring loses the member first
   /// (no NEW request can route there), then the victim drains: admitted
-  /// requests complete on the old shard, gate/queue waiters wake and
+  /// requests complete on the old shard, parked submitters wake and
   /// re-route via submit()'s retry loop. Returns when the victim has fully
   /// drained. The slot stays addressable (retired) and ids are not reused.
   void remove_shard(std::size_t s) {
@@ -270,12 +222,7 @@ class MultiShardServer {
       shard = shards_[s].get();
       shard->retired.store(true, std::memory_order_release);
     }
-    {
-      std::lock_guard<std::mutex> lk(shard->gate_mu);
-      shard->stopping = true;
-      shard->gate_cv.notify_all();
-    }
-    shard->server.shutdown();  // drains admitted; queue waiters wake kShutdown
+    shard->server.shutdown();  // drains admitted; parked wake kShutdown
     record_resize(false, s);
     obs::counter_add("serve.shard.resize.removed", 1);
   }
@@ -316,19 +263,12 @@ class MultiShardServer {
     return v;
   }
 
-  /// Stop every shard: gate waiters wake with Status::kShutdown, each shard
-  /// server drains its admitted requests. Idempotent.
+  /// Stop every shard: parked submitters wake with Status::kShutdown, each
+  /// shard server drains its admitted requests. Idempotent.
   void shutdown() {
     stopping_.store(true, std::memory_order_release);
     std::lock_guard<std::mutex> resize_lk(resize_mu_);  // freeze membership
-    for (auto& shard : shards_) {
-      {
-        std::lock_guard<std::mutex> lk(shard->gate_mu);
-        shard->stopping = true;
-        shard->gate_cv.notify_all();
-      }
-      shard->server.shutdown();
-    }
+    for (auto& shard : shards_) shard->server.shutdown();
   }
 
   TenantReport tenant_report(std::size_t tenant) const {
@@ -345,7 +285,7 @@ class MultiShardServer {
     return r;
   }
 
-  /// Requests routed to each shard slot (admission-gate outcomes included;
+  /// Requests routed to each shard slot (rejected requests included;
   /// a re-routed request counts on every shard it touched).
   std::vector<std::uint64_t> routed_per_shard() const {
     std::shared_lock<std::shared_mutex> lk(route_mu_);
@@ -400,17 +340,12 @@ class MultiShardServer {
 
  private:
   struct Shard {
-    Shard(const ServeConfig& cfg, BatchFn fn, std::size_t tenants)
-        : server(cfg, std::move(fn)), outstanding(tenants, 0) {}
+    Shard(const ServeConfig& cfg, BatchFn fn, const std::vector<TenantPolicy>& tenants)
+        : server(cfg, std::move(fn), tenants) {}
 
     Server<In, Out> server;
     std::atomic<std::uint64_t> routed{0};
     std::atomic<bool> retired{false};  // removed from the ring; draining/done
-
-    std::mutex gate_mu;
-    std::condition_variable gate_cv;
-    std::vector<std::size_t> outstanding;  // per tenant
-    bool stopping = false;
   };
 
   struct TenantState {
@@ -421,14 +356,11 @@ class MultiShardServer {
 
   static MultiShardConfig normalize(MultiShardConfig cfg) {
     ENW_CHECK_MSG(cfg.num_shards > 0, "need at least one shard");
-    if (cfg.tenants.empty()) {
-      TenantPolicy def;
-      def.admission = cfg.shard.admission;
-      cfg.tenants.push_back(def);
-    }
+    cfg.tenants = resolve_tenants(std::move(cfg.tenants), cfg.shard);
     return cfg;
   }
 
+  /// Account a request's final reply (once, after any reroutes).
   void record(std::size_t tenant, const Reply& reply) {
     TenantState& t = *tenants_[tenant];
     std::lock_guard<std::mutex> lk(t.mu);
@@ -437,12 +369,15 @@ class MultiShardServer {
       case Status::kOk:
         ++t.report.completed;
         t.latencies.push_back(reply.latency_ns);
+        obs::counter_add_indexed("serve.tenant.completed", tenant, 1);
         break;
       case Status::kRejected:
         ++t.report.rejected;
+        obs::counter_add_indexed("serve.tenant.rejected", tenant, 1);
         break;
       case Status::kTimedOut:
         ++t.report.shed;
+        obs::counter_add_indexed("serve.tenant.shed", tenant, 1);
         break;
       case Status::kError:
         ++t.report.errors;
@@ -467,7 +402,6 @@ class MultiShardServer {
   /// each other, without blocking the submit path.
   std::mutex resize_mu_;
   ShardRouter router_;
-  std::vector<std::size_t> quotas_;              // per tenant
   std::vector<std::unique_ptr<Shard>> shards_;   // id-indexed, never erased
   std::vector<std::unique_ptr<TenantState>> tenants_;
   std::atomic<bool> stopping_{false};

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <sstream>
 
 #include "core/check.h"
 #include "obs/obs.h"
+#include "serve/serve_core.h"
 
 namespace enw::serve {
 
@@ -26,40 +26,34 @@ void append_ids(std::ostringstream& os, std::span<const std::size_t> ids) {
 
 }  // namespace
 
-std::string batch_log_line(std::size_t index, const BatchRecord& rec) {
+std::string render_boundaries(std::span<const BatchRecord> batches,
+                              std::span<const SwapBoundary> swaps,
+                              const std::string& tag) {
+  // With no activated swaps the rendering is exactly the pre-swap format —
+  // tests pin that string byte-for-byte, so the version annotations appear
+  // only when a swap makes them meaningful.
   std::ostringstream os;
-  os << "batch " << index << ": t=" << rec.flush_ns
-     << "ns reason=" << flush_reason_name(rec.reason)
-     << " n=" << rec.executed.size() << " ids=";
-  append_ids(os, rec.executed);
-  os << " shed=";
-  append_ids(os, rec.shed);
+  std::size_t s = 0;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    for (; s < swaps.size() && swaps[s].first_batch == b; ++s) {
+      os << "swap: t=" << swaps[s].at_ns << "ns v=" << swaps[s].version
+         << " first_batch=" << b << "\n";
+    }
+    const BatchRecord& rec = batches[b];
+    os << "batch " << b << ": t=" << rec.flush_ns
+       << "ns reason=" << flush_reason_name(rec.reason)
+       << " n=" << rec.executed.size() << " ids=";
+    append_ids(os, rec.executed);
+    os << " shed=";
+    append_ids(os, rec.shed);
+    if (!swaps.empty()) os << " v=" << rec.version;
+    os << tag << "\n";
+  }
   return os.str();
 }
 
 std::string ReplayResult::boundary_log() const {
-  // With no activated swaps the rendering is exactly the pre-swap format —
-  // tests pin that string byte-for-byte, so the version annotations appear
-  // only when a swap makes them meaningful.
-  std::string out;
-  std::size_t s = 0;
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    for (; s < swaps.size() && swaps[s].first_batch == b; ++s) {
-      std::ostringstream os;
-      os << "swap: t=" << swaps[s].at_ns << "ns v=" << swaps[s].version
-         << " first_batch=" << b;
-      out += os.str();
-      out += "\n";
-    }
-    out += batch_log_line(b, batches[b]);
-    if (!swaps.empty()) {
-      std::ostringstream os;
-      os << " v=" << batches[b].version;
-      out += os.str();
-    }
-    out += "\n";
-  }
-  return out;
+  return render_boundaries(batches, swaps, "");
 }
 
 ReplayResult replay_trace(std::span<const TraceEvent> trace,
@@ -74,8 +68,6 @@ ReplayResult replay_trace(std::span<const TraceEvent> trace,
 ReplayResult replay_trace(std::span<const TraceEvent> trace,
                           const ReplayConfig& cfg, const ReplayExecV& exec) {
   ENW_SPAN("serve.replay");
-  ENW_CHECK_MSG(cfg.serve.max_batch > 0, "max_batch must be positive");
-  ENW_CHECK_MSG(cfg.serve.queue_capacity > 0, "queue_capacity must be positive");
   for (std::size_t i = 1; i < trace.size(); ++i) {
     ENW_CHECK_MSG(trace[i - 1].arrival_ns <= trace[i].arrival_ns,
                   "trace arrivals must be non-decreasing");
@@ -86,63 +78,24 @@ ReplayResult replay_trace(std::span<const TraceEvent> trace,
   }
   ENW_CHECK_MSG(cfg.resizes.empty(),
                 "scripted resizes are a sharded-replay feature (replay_sharded)");
-
-  // Resolve the tenant table: empty config means one default tenant with
-  // the serve config's admission mode and the full queue as its quota —
-  // which reduces every per-tenant check below to the pre-tenancy one.
-  std::vector<TenantPolicy> tenants = cfg.tenants;
-  if (tenants.empty()) {
-    TenantPolicy def;
-    def.admission = cfg.serve.admission;
-    tenants.push_back(def);
-  }
-  std::vector<std::size_t> quota(tenants.size());
-  for (std::size_t t = 0; t < tenants.size(); ++t) {
-    quota[t] = tenant_quota(tenants[t], cfg.serve.queue_capacity);
-  }
-  for (const TraceEvent& e : trace) {
-    ENW_CHECK_MSG(e.tenant < tenants.size(), "trace event names unknown tenant");
-  }
-  // Absolute shed deadline: the event's own stamp wins; otherwise the
-  // tenant's relative SLO deadline counted from arrival (0 = none).
-  const auto deadline_of = [&](std::size_t id) -> std::uint64_t {
-    if (trace[id].deadline_ns != 0) return trace[id].deadline_ns;
-    const std::uint64_t rel = tenants[trace[id].tenant].deadline_ns;
-    return rel == 0 ? 0 : trace[id].arrival_ns + rel;
-  };
+  ServeCore<std::size_t> core(cfg.serve, cfg.tenants);
 
   ReplayResult result;
   result.outcomes.resize(trace.size());
-  result.stats.submitted = trace.size();
-  result.tenant_stats.resize(tenants.size());
-
-  struct Queued {
-    std::size_t id;
-    std::uint64_t enqueue_ns;  // admission time: starts the batching window
-  };
-  std::deque<Queued> queue;
-  std::deque<std::size_t> blocked;  // kBlock arrivals waiting for space
-  std::vector<std::size_t> queued_of(tenants.size(), 0);  // queue slots held
-  std::uint64_t exec_free_ns = 0;   // executor available from this instant
+  ServeCore<std::size_t>::Batch batch;
+  std::uint64_t exec_free_ns = 0;  // executor available from this instant
   std::uint64_t now = 0;
-  std::size_t next = 0;  // next trace event to process
-  std::uint64_t version = 0;   // active backend version (0 = initial)
-  std::size_t swap_idx = 0;    // next scripted swap to activate
+  std::size_t next = 0;      // next trace event to process
+  std::size_t swap_idx = 0;  // next scripted swap to activate
 
-  while (next < trace.size() || !queue.empty() || !blocked.empty()) {
-    // Earliest instant the current queue state can flush (policy + executor).
-    // Replay never drains: the trace plays out to quiescence, so the final
-    // partial batch flushes by its window like any other (shutdown/drain
-    // is a live-server behaviour, exercised in test_serve's Server cases).
+  while (next < trace.size() || core.queued() != 0 || core.parked() != 0) {
+    // Earliest instant the queue can flush: the policy's trigger, held back
+    // while the executor is busy, and brought forward by a scripted drain.
     std::uint64_t flush_at = kNever;
-    if (!queue.empty()) {
-      const FlushDecision d = flush_due(now, queue.front().enqueue_ns,
-                                        queue.size(), /*draining=*/false,
-                                        cfg.serve);
+    if (core.queued() != 0) {
+      const FlushDecision d = core.poll(now);
       flush_at = std::max(d.due ? now : d.wake_ns, exec_free_ns);
       if (cfg.drain_at_ns != 0) {
-        // Drain mode: from drain_at_ns the queue flushes as soon as the
-        // executor allows, instead of waiting for size/window triggers.
         flush_at =
             std::min(flush_at, std::max({cfg.drain_at_ns, now, exec_free_ns}));
       }
@@ -155,81 +108,37 @@ ReplayResult replay_trace(std::span<const TraceEvent> trace,
       // documented tie rule that makes boundaries a pure trace function.
       now = next_arrival;
       const std::size_t id = next++;
-      const std::uint32_t ten = trace[id].tenant;
-      ++result.tenant_stats[ten].submitted;
-      // A tenant is admissible while the shared queue has space AND the
-      // tenant holds fewer slots than its queue-share quota. Over-budget
-      // behaviour follows the TENANT's admission mode, so one tenant's
-      // saturation never turns into another tenant's reject.
-      if (queue.size() < cfg.serve.queue_capacity && queued_of[ten] < quota[ten]) {
-        queue.push_back({id, now});
-        ++queued_of[ten];
-        result.stats.queue_peak = std::max(result.stats.queue_peak, queue.size());
-      } else if (tenants[ten].admission == AdmissionPolicy::kReject) {
-        ++result.stats.rejected;
-        ++result.tenant_stats[ten].rejected;
+      if (core.arrive(id, trace[id].tenant, trace[id].deadline_ns, now) ==
+          ServeCore<std::size_t>::Admission::kRejected) {
         result.outcomes[id] = {Status::kRejected, now, 0};
-      } else {
-        blocked.push_back(id);
       }
       continue;
     }
 
-    // Flush. Re-evaluate the policy AT the flush instant so the recorded
-    // reason is the one the trigger actually fired with.
+    // Flush. Scripted swaps due by this instant activate first — the replay
+    // twin of the live capture-under-lock, so the whole batch runs on one
+    // version. A swap scripted after the last flush never activates.
     now = flush_at;
-    // Activate scripted swaps due by this flush instant — the replay twin of
-    // the live server's capture-under-lock: the version is fixed BEFORE the
-    // batch is collated, so the whole batch runs on one version. A swap
-    // scripted after the last flush never reaches this point and stays
-    // unactivated.
     while (swap_idx < cfg.swaps.size() && cfg.swaps[swap_idx].at_ns <= now) {
       result.swaps.push_back({cfg.swaps[swap_idx].at_ns,
                               cfg.swaps[swap_idx].version,
                               result.batches.size()});
-      version = cfg.swaps[swap_idx].version;
+      core.swap(cfg.swaps[swap_idx].version);
       ++swap_idx;
     }
-    const bool draining = cfg.drain_at_ns != 0 && now >= cfg.drain_at_ns;
-    const FlushDecision d = flush_due(now, queue.front().enqueue_ns,
-                                      queue.size(), draining, cfg.serve);
-    ENW_CHECK_MSG(d.due, "flush scheduled but policy not due");
+    if (cfg.drain_at_ns != 0 && now >= cfg.drain_at_ns) core.drain();
+    core.collate(now, batch);
 
     BatchRecord rec;
     rec.flush_ns = now;
-    rec.reason = d.reason;
-    rec.version = version;
-    const std::size_t take = std::min(queue.size(), cfg.serve.max_batch);
-    for (std::size_t i = 0; i < take; ++i) {
-      const Queued q = queue.front();
-      queue.pop_front();
-      --queued_of[trace[q.id].tenant];
-      if (deadline_expired(deadline_of(q.id), now)) {
-        rec.shed.push_back(q.id);
-        ++result.stats.shed;
-        ++result.tenant_stats[trace[q.id].tenant].shed;
-        result.outcomes[q.id] = {Status::kTimedOut, now,
-                                 now - trace[q.id].arrival_ns};
-      } else {
-        rec.executed.push_back(q.id);
-      }
+    rec.reason = batch.reason;
+    rec.version = batch.version;
+    for (const auto& e : batch.shed) {
+      rec.shed.push_back(e.handle);
+      result.outcomes[e.handle] = {Status::kTimedOut, now,
+                                   now - trace[e.handle].arrival_ns};
     }
-    // Freed slots admit blocked arrivals FIFO; their window starts now. A
-    // blocked request whose tenant is still at quota is skipped (it keeps
-    // its FIFO position), so an over-budget tenant cannot consume slots the
-    // pops just returned to another tenant.
-    for (auto it = blocked.begin();
-         it != blocked.end() && queue.size() < cfg.serve.queue_capacity;) {
-      const std::uint32_t ten = trace[*it].tenant;
-      if (queued_of[ten] < quota[ten]) {
-        queue.push_back({*it, now});
-        ++queued_of[ten];
-        result.stats.queue_peak = std::max(result.stats.queue_peak, queue.size());
-        it = blocked.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    for (const auto& e : batch.run) rec.executed.push_back(e.handle);
     if (!rec.executed.empty()) {
       // Faults: by default an exec exception propagates (the harness makes
       // no masking promise); mask_exec_faults opts into the live Server's
@@ -237,38 +146,24 @@ ReplayResult replay_trace(std::span<const TraceEvent> trace,
       // with the executor still occupied for the service interval it spent
       // failing.
       bool failed = false;
-      if (cfg.mask_exec_faults) {
-        try {
-          exec(std::span<const std::size_t>(rec.executed), version);
-        } catch (...) {
-          failed = true;
-        }
-      } else {
-        exec(std::span<const std::size_t>(rec.executed), version);
+      try {
+        exec(std::span<const std::size_t>(rec.executed), batch.version);
+      } catch (...) {
+        if (!cfg.mask_exec_faults) throw;
+        failed = true;
       }
       const std::uint64_t complete = now + cfg.service_ns;
       exec_free_ns = complete;
-      if (failed) {
-        result.stats.errors += rec.executed.size();
-        for (std::size_t id : rec.executed) {
-          ++result.tenant_stats[trace[id].tenant].errors;
-          result.outcomes[id] = {Status::kError, complete,
-                                 complete - trace[id].arrival_ns};
-        }
-      } else {
-        for (std::size_t id : rec.executed) {
-          ++result.stats.completed;
-          ++result.tenant_stats[trace[id].tenant].completed;
-          result.outcomes[id] = {Status::kOk, complete,
-                                 complete - trace[id].arrival_ns};
-        }
-        result.stats.record_batch(rec.executed.size());
+      core.batch_done(batch, failed);
+      for (std::size_t id : rec.executed) {
+        result.outcomes[id] = {failed ? Status::kError : Status::kOk, complete,
+                               complete - trace[id].arrival_ns};
       }
     }
-    if (!rec.executed.empty() || !rec.shed.empty()) {
-      result.batches.push_back(std::move(rec));
-    }
+    result.batches.push_back(std::move(rec));
   }
+  result.stats = core.stats();
+  result.tenant_stats = core.tenant_stats();
   return result;
 }
 

@@ -2,17 +2,18 @@
 //
 // Live batch boundaries depend on thread scheduling, so they cannot anchor a
 // bitwise test. replay_trace() removes the scheduler from the picture: it is
-// a single-threaded discrete-event simulation of the serving pipeline over a
-// scripted arrival trace in VIRTUAL time. Admission (bounded queue,
-// block/reject), batching (the same flush_due policy the live collator
-// runs), deadline shedding (the same deadline_expired predicate), and drain
-// are all replayed as pure functions of the trace and config — so the same
-// seeded trace always produces the same batch boundaries, the same typed
-// outcome per request, and (because the batched GEMM paths compute each
-// output row as an independent k-order dot product) outputs that are
-// bitwise-identical to running the offline predict_batch reference over the
-// whole trace at once. tests/test_serve.cpp pins all three with testkit
-// differential checks across ENW_THREADS {1, 8}.
+// a single-threaded discrete-event driver of the same ServeCore
+// (serve_core.h) the live Server runs — admission, tenant quotas, the parked
+// FIFO, flushing, shedding and swap activation all come from the core — fed
+// by a scripted arrival trace in VIRTUAL time. So the same seeded trace
+// always produces the same batch boundaries, the same typed outcome per
+// request, and (because the batched GEMM paths compute each output row as
+// an independent k-order dot product) outputs that are bitwise-identical to
+// running the offline predict_batch reference over the whole trace at once.
+// tests/test_serve.cpp pins all three with testkit differential checks
+// across ENW_THREADS {1, 8}; tests/test_serve_sharded.cpp runs one scripted
+// trace through the live MultiShardServer and through replay_trace and
+// requires identical outcomes and boundaries.
 //
 // Virtual-time semantics (all deterministic, documented here because tests
 // diff the boundary log byte-for-byte):
@@ -98,9 +99,8 @@ struct ReplayConfig {
   /// default tenant (full queue share, no deadline) whose admission mode is
   /// serve.admission — which makes the single-tenant simulation identical,
   /// boundary for boundary, to the pre-tenancy harness. A non-empty table
-  /// applies each tenant's admission mode, queue-share quota (the same
-  /// tenant_quota arithmetic the live MultiShardServer uses) and, for
-  /// events with deadline_ns == 0, its relative deadline.
+  /// applies each tenant's admission mode, queue-share quota and, for
+  /// events with deadline_ns == 0, its relative deadline (ServeCore rules).
   std::vector<TenantPolicy> tenants;
   /// When true, an exception thrown by the exec callback is absorbed the way
   /// the live Server absorbs a BatchFn throw: every request of that batch
@@ -171,10 +171,13 @@ struct ReplayResult {
   std::string boundary_log() const;
 };
 
-/// One canonical boundary-log line (no trailing newline) — the shared
-/// renderer behind ReplayResult::boundary_log and the sharded log, which
-/// feeds it batch records remapped to global request ids.
-std::string batch_log_line(std::size_t index, const BatchRecord& rec);
+/// The canonical boundary-log renderer behind ReplayResult::boundary_log and
+/// the sharded log (which feeds it batch records remapped to global request
+/// ids): swap lines and " v=" suffixes as boundary_log documents, plus `tag`
+/// appended to every batch line.
+std::string render_boundaries(std::span<const BatchRecord> batches,
+                              std::span<const SwapBoundary> swaps,
+                              const std::string& tag);
 
 /// Executes the surviving requests of one batch; ids index into the trace.
 /// The caller owns request payloads and output storage — replay only decides

@@ -19,13 +19,14 @@
 //   * clean shutdown — shutdown() stops admissions (late submitters get
 //     Status::kShutdown) and drains every admitted request before returning.
 //
-// Determinism seam: batch collation order under real threads is
-// scheduling-dependent, so the *live* Server (server.h) makes no
-// reproducibility promise about boundaries — only about values (each GEMM
-// output row is an independent k-order dot product, so a request's result
-// is bitwise-identical whatever batch it lands in). Reproducible boundaries
-// come from the replay harness (replay.h), which drives the SAME flush_due
-// policy below with a virtual clock over a scripted arrival trace.
+// Determinism seam: the policy above is written once, in the sans-IO
+// ServeCore (serve_core.h). The live Server (server.h) drives it with the
+// wall clock and real threads, so its batch boundaries are
+// scheduling-dependent and it promises only values (each GEMM output row is
+// an independent k-order dot product, so a request's result is
+// bitwise-identical whatever batch it lands in). The replay harness
+// (replay.h) drives the SAME core with a virtual clock over a scripted
+// trace, which makes boundaries reproducible.
 #pragma once
 
 #include <cstddef>
@@ -75,23 +76,22 @@ struct FlushDecision {
                               // the queue is non-empty)
 };
 
-/// The batching policy, as a pure function of observable state — THE shared
-/// seam between the live Server and the deterministic replay simulator. Both
-/// modes produce a batch boundary exactly when this function says one is due;
-/// replay feeding it virtual timestamps therefore reproduces the boundaries
-/// the live collator would produce under those arrival times.
+/// The batching policy, as a pure function of observable state. ServeCore
+/// evaluates it for both the live server and the replay, so replay feeding
+/// it virtual timestamps reproduces the boundaries the live collator would
+/// produce under those arrival times.
 FlushDecision flush_due(std::uint64_t now_ns, std::uint64_t oldest_enqueue_ns,
                         std::size_t queued, bool draining,
                         const ServeConfig& cfg);
 
-/// Shed predicate shared by both modes: a deadline of 0 means "none", and a
+/// Shed predicate (ServeCore::collate): a deadline of 0 means "none", and a
 /// request is shed only when the batch is collated strictly AFTER it.
 inline bool deadline_expired(std::uint64_t deadline_ns, std::uint64_t now_ns) {
   return deadline_ns != 0 && now_ns > deadline_ns;
 }
 
-/// Monotonic serving counters plus the batch-size histogram. The live Server
-/// snapshots these under its lock; the replay harness fills one per run.
+/// Monotonic serving counters plus the batch-size histogram, kept by
+/// ServeCore for both the live Server and the replay.
 struct ServerStats {
   std::uint64_t submitted = 0;   // submit() calls that passed the shutdown gate
   std::uint64_t completed = 0;   // requests that executed (Status::kOk)

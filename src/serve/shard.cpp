@@ -23,17 +23,8 @@ double shard_imbalance(std::span<const std::uint64_t> per_shard_counts,
 }
 
 double shard_imbalance(std::span<const std::uint64_t> per_shard_counts) {
-  if (per_shard_counts.empty()) return 0.0;
-  std::uint64_t max = 0;
-  std::uint64_t total = 0;
-  for (std::uint64_t c : per_shard_counts) {
-    max = std::max(max, c);
-    total += c;
-  }
-  if (total == 0) return 0.0;
-  const double mean = static_cast<double>(total) /
-                      static_cast<double>(per_shard_counts.size());
-  return static_cast<double>(max) / mean;
+  const std::vector<std::uint8_t> live(per_shard_counts.size(), 1);
+  return shard_imbalance(per_shard_counts, live);
 }
 
 }  // namespace enw::serve

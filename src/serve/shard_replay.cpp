@@ -32,43 +32,15 @@ std::string ShardedReplayResult::boundary_log() const {
   }
   for (std::size_t s = 0; s < shards.size(); ++s) {
     out += "shard " + std::to_string(s) + ":\n";
+    // Remap ids to global; with resizes every batch line carries its shard.
     const std::vector<std::size_t>& to_global = shard_ids[s];
-    // Remap ids to global, keep swap lines/version suffixes: render through
-    // a ReplayResult holding only what boundary_log() reads, so the sharded
-    // log stays byte-compatible with the plain one per shard.
-    ReplayResult view;
-    view.swaps = shards[s].swaps;
-    view.batches.reserve(shards[s].batches.size());
-    for (const BatchRecord& src : shards[s].batches) {
-      BatchRecord rec = src;  // copy, then remap ids
+    std::vector<BatchRecord> batches = shards[s].batches;
+    for (BatchRecord& rec : batches) {
       for (std::size_t& id : rec.executed) id = to_global[id];
       for (std::size_t& id : rec.shed) id = to_global[id];
-      view.batches.push_back(std::move(rec));
     }
-    if (resizes.empty()) {
-      out += view.boundary_log();
-      continue;
-    }
-    // Resizes activated: re-render per batch so every batch line carries its
-    // shard tag (swap lines are per-shard already and stay untagged).
-    std::size_t sw = 0;
-    for (std::size_t b = 0; b < view.batches.size(); ++b) {
-      for (; sw < view.swaps.size() && view.swaps[sw].first_batch == b; ++sw) {
-        std::ostringstream os;
-        os << "swap: t=" << view.swaps[sw].at_ns
-           << "ns v=" << view.swaps[sw].version << " first_batch=" << b;
-        out += os.str();
-        out += "\n";
-      }
-      out += batch_log_line(b, view.batches[b]);
-      if (!view.swaps.empty()) {
-        std::ostringstream os;
-        os << " v=" << view.batches[b].version;
-        out += os.str();
-      }
-      out += " s=" + std::to_string(s);
-      out += "\n";
-    }
+    out += render_boundaries(batches, shards[s].swaps,
+                             resizes.empty() ? "" : " s=" + std::to_string(s));
   }
   return out;
 }

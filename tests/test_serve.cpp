@@ -1,5 +1,5 @@
-// Tests for enw::serve — the flush policy, the deterministic load-replay
-// harness, and the live concurrent Server.
+// Tests for enw::serve — the flush policy, the sans-IO ServeCore, the
+// deterministic load-replay harness, and the live concurrent Server.
 //
 // The replay tests pin the tentpole determinism claim: the same seeded
 // request trace produces the same batch boundaries (diffed as the canonical
@@ -30,6 +30,7 @@
 #include "serve/backends.h"
 #include "serve/replay.h"
 #include "serve/serve.h"
+#include "serve/serve_core.h"
 #include "serve/server.h"
 #include "serve/shard_replay.h"
 #include "tensor/matrix.h"
@@ -78,6 +79,70 @@ TEST(FlushPolicy, DrainFlushesPartialBatchImmediately) {
   const FlushDecision d = flush_due(/*now=*/10, /*oldest=*/10, 1, true, cfg);
   ASSERT_TRUE(d.due);
   EXPECT_EQ(d.reason, FlushReason::kDrain);
+}
+
+// --- serve core -------------------------------------------------------------
+
+TEST(ServeCore, QuotaCountsQueueSlotsNotExecutingRequests) {
+  ServeConfig cfg;
+  cfg.max_batch = 1;
+  cfg.queue_capacity = 4;
+  TenantPolicy t;  // quota floor(0.25 * 4) = 1
+  t.queue_share = 0.25;
+  t.admission = AdmissionPolicy::kReject;
+  ServeCore<int> core(cfg, {t});
+  using A = ServeCore<int>::Admission;
+  ServeCore<int>::Batch batch;
+
+  EXPECT_EQ(core.arrive(1, 0, 0, 0), A::kAdmitted);
+  EXPECT_EQ(core.arrive(2, 0, 0, 0), A::kRejected);  // the one slot is held
+  core.collate(0, batch);  // request 1 leaves the queue to execute...
+  ASSERT_EQ(batch.run.size(), 1u);
+  EXPECT_EQ(core.arrive(3, 0, 0, 0), A::kAdmitted);  // ...freeing its slot
+  core.batch_done(batch, false);
+  EXPECT_EQ(core.stats().submitted, 3u);
+  EXPECT_EQ(core.stats().rejected, 1u);
+  EXPECT_EQ(core.tenant_stats()[0].completed, 1u);
+}
+
+TEST(ServeCore, ParkedRequestsEnterFifoAndCloseHandsBackTheRest) {
+  ServeConfig cfg;
+  cfg.max_batch = 2;
+  cfg.queue_capacity = 2;
+  ServeCore<int> core(cfg, {});  // default tenant: kBlock, whole queue
+  using A = ServeCore<int>::Admission;
+  for (int h = 0; h < 7; ++h) {
+    EXPECT_EQ(core.arrive(h, 0, 0, 0), h < 2 ? A::kAdmitted : A::kParked) << h;
+  }
+  ServeCore<int>::Batch batch;
+  core.collate(0, batch);  // runs 0, 1; admits 2, 3 in arrival order
+  core.collate(0, batch);
+  ASSERT_EQ(batch.run.size(), 2u);
+  EXPECT_EQ(batch.run[0].handle, 2);
+  EXPECT_EQ(batch.run[1].handle, 3);
+
+  std::vector<int> handed_back;
+  core.close([&](int h) { handed_back.push_back(h); });
+  EXPECT_EQ(handed_back, (std::vector<int>{6}));  // 4, 5 were admitted
+  EXPECT_EQ(core.arrive(9, 0, 0, 0), A::kClosed);
+  EXPECT_TRUE(core.closed());
+}
+
+TEST(ServeCore, RingKeepsFifoOrderAcrossWrapAndGrowth) {
+  ServeConfig cfg;
+  cfg.max_batch = 5;
+  cfg.queue_capacity = 1000;
+  ServeCore<int> core(cfg, {});
+  ServeCore<int>::Batch batch;
+  int next_in = 0;
+  int next_out = 0;
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 7; ++i) core.arrive(next_in++, 0, 0, 0);
+    core.collate(0, batch);
+    for (const auto& e : batch.run) EXPECT_EQ(e.handle, next_out++);
+  }
+  EXPECT_EQ(core.queued(), static_cast<std::size_t>(next_in - next_out));
+  EXPECT_EQ(core.stats().queue_peak, core.queued() + cfg.max_batch);
 }
 
 // --- shared fixtures --------------------------------------------------------
@@ -556,9 +621,9 @@ TEST(Server, BlockedSubmitterWakesOnShutdownWithTypedStatus) {
   gate.wait_entered();
   std::thread t2([&] { EXPECT_EQ(srv.submit(2).status, Status::kOk); });
   poll_until([&] { return srv.queue_depth() == 1; });
-  // Third submitter blocks on the full queue. submitted is incremented in
-  // the same critical section as the space wait, so once stats show 3 the
-  // thread is parked on the space condition.
+  // Third submitter parks on the full queue. submitted is incremented in
+  // the same critical section that parks it, so once stats show 3 the
+  // request sits in the parked FIFO.
   Server<int, int>::Reply r3;
   std::thread t3([&] { r3 = srv.submit(3); });
   poll_until([&] { return srv.stats().submitted == 3; });

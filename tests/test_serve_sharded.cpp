@@ -3,9 +3,15 @@
 // Live tests pin the value contract — requests served through N shard
 // replicas built from one seed diff bitwise against the offline
 // predict_batch reference, whatever the routing or tenant mix — and the
-// tenant quota gate's typed semantics (over-budget kReject fails fast
-// without touching neighbours; kBlock waiters wake on shutdown with the
-// typed status). These run under the TSan CI job with an 8-thread pool.
+// tenant quota's typed semantics (over-budget kReject fails fast without
+// touching neighbours; parked kBlock submitters are admitted FIFO and wake on
+// shutdown with the typed status; a tenant deadline counts from entry).
+// These run under the TSan CI job with an 8-thread pool.
+//
+// The live-vs-replay differential drives one scripted two-tenant trace
+// through MultiShardServer and replay_trace and requires identical typed
+// outcomes, batch boundaries, versions and counters: both run the one
+// ServeCore policy, and this test is what holds them to it.
 //
 // Replay tests pin the SLO isolation properties in virtual time, where they
 // are exact: a saturating tenant collects every reject itself, a deadline
@@ -14,7 +20,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -131,23 +139,24 @@ TEST(MultiShardServer, ConcurrentTenantsGetBitwiseOfflineResultsAcrossShards) {
 
 /// Backend whose first invocation blocks until released (local copy of the
 /// test_serve idiom) — parks a shard's collator mid-execute so the tests can
-/// sequence tenant-gate admissions exactly.
+/// sequence tenant admissions exactly. Records every served value in
+/// execution order.
 struct GatedEcho {
   std::mutex mu;
   std::condition_variable cv;
   bool entered = false;
   bool released = false;
+  std::vector<int> served;
 
   Server<int, int>::BatchFn fn() {
     return [this](std::span<const int> batch) {
-      {
-        std::unique_lock<std::mutex> lk(mu);
-        if (!entered) {
-          entered = true;
-          cv.notify_all();
-          cv.wait(lk, [this] { return released; });
-        }
+      std::unique_lock<std::mutex> lk(mu);
+      if (!entered) {
+        entered = true;
+        cv.notify_all();
+        cv.wait(lk, [this] { return released; });
       }
+      served.insert(served.end(), batch.begin(), batch.end());
       return std::vector<int>(batch.begin(), batch.end());
     };
   }
@@ -162,13 +171,30 @@ struct GatedEcho {
   }
 };
 
+/// Polls `pred` until it holds; gives up after 10 s and returns false, so a
+/// server that never reaches the expected state fails the test instead of
+/// hanging it.
+bool eventually(const std::function<bool()>& pred) {
+  const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > give_up) return false;
+    std::this_thread::yield();
+  }
+  return true;
+}
+
+template <typename Ms>
+std::uint64_t submitted(const Ms& ms) {
+  return ms.shard_stats(0).submitted;
+}
+
 TEST(MultiShardServer, OverBudgetTenantRejectsWithoutTouchingNeighbor) {
   MultiShardConfig cfg;
   cfg.num_shards = 1;
   cfg.shard.max_batch = 1;
   cfg.shard.max_wait_ns = 0;
   cfg.shard.queue_capacity = 8;
-  TenantPolicy greedy;  // quota floor(0.125 * 8) = 1 outstanding request
+  TenantPolicy greedy;  // quota floor(0.125 * 8) = 1 queue slot
   greedy.name = "greedy";
   greedy.queue_share = 0.125;
   greedy.admission = AdmissionPolicy::kReject;
@@ -182,24 +208,28 @@ TEST(MultiShardServer, OverBudgetTenantRejectsWithoutTouchingNeighbor) {
   MultiShardServer<int, int> ms(cfg, [&](std::size_t) { return gate.fn(); });
 
   std::thread first([&] { EXPECT_EQ(ms.submit(1, 0, 0).status, Status::kOk); });
-  gate.wait_entered();  // greedy's request is mid-execute: outstanding == 1
+  gate.wait_entered();  // greedy's first request is mid-execute
+  std::thread second([&] { EXPECT_EQ(ms.submit(2, 0, 0).status, Status::kOk); });
+  EXPECT_TRUE(eventually([&] { return submitted(ms) == 2; }));
+  // ... and its second holds its one queue slot.
 
   // Greedy is at quota: its next submission fails fast with the typed
-  // status, BEFORE touching the shard queue.
-  EXPECT_EQ(ms.submit(2, 0, 0).status, Status::kRejected);
+  // status, without taking a shard queue slot.
+  EXPECT_EQ(ms.submit(3, 0, 0).status, Status::kRejected);
 
   // The neighbour's budget is untouched: its request admits and completes.
-  std::thread second([&] { EXPECT_EQ(ms.submit(3, 0, 1).status, Status::kOk); });
-  while (ms.shard_stats(0).submitted < 2) std::this_thread::yield();
+  std::thread third([&] { EXPECT_EQ(ms.submit(4, 0, 1).status, Status::kOk); });
+  EXPECT_TRUE(eventually([&] { return submitted(ms) == 4; }));
 
   gate.release();
   first.join();
   second.join();
+  third.join();
   ms.shutdown();
 
   const auto greedy_rep = ms.tenant_report(0);
-  EXPECT_EQ(greedy_rep.submitted, 2u);
-  EXPECT_EQ(greedy_rep.completed, 1u);
+  EXPECT_EQ(greedy_rep.submitted, 3u);
+  EXPECT_EQ(greedy_rep.completed, 2u);
   EXPECT_EQ(greedy_rep.rejected, 1u);
   const auto neighbor_rep = ms.tenant_report(1);
   EXPECT_EQ(neighbor_rep.completed, 1u);
@@ -221,22 +251,98 @@ TEST(MultiShardServer, BlockedTenantGateWakesOnShutdownWithTypedStatus) {
   MultiShardServer<int, int> ms(cfg, [&](std::size_t) { return gate.fn(); });
 
   std::thread first([&] { EXPECT_EQ(ms.submit(1, 0, 0).status, Status::kOk); });
-  gate.wait_entered();  // outstanding == quota == 1
+  gate.wait_entered();
+  std::thread second([&] { EXPECT_EQ(ms.submit(2, 0, 0).status, Status::kOk); });
+  EXPECT_TRUE(eventually([&] { return submitted(ms) == 2; }));
+  // One request executing, one holding the tenant's only queue slot.
 
   // shutdown() blocks in the down thread (the gated batch is still
-  // executing) but sets the stopping flag first, so the main thread's
-  // submission — parked at the tenant gate or arriving after the flag —
-  // resolves to the typed status. The gate CANNOT open any other way:
-  // outstanding stays at quota until release() below.
+  // executing) but closes admission first, so the main thread's submission
+  // — parked in the shard's FIFO or arriving after the close — resolves to
+  // the typed status. The slot CANNOT free any other way: the queued
+  // request stays queued until release() below.
   std::thread down([&] { ms.shutdown(); });
-  const auto blocked = ms.submit(2, 0, 0);
+  const auto blocked = ms.submit(3, 0, 0);
   EXPECT_EQ(blocked.status, Status::kShutdown);
 
   gate.release();  // let the in-flight batch finish so shutdown can drain
   down.join();
   first.join();
-  EXPECT_EQ(ms.tenant_report(0).completed, 1u);
+  second.join();
+  EXPECT_EQ(ms.tenant_report(0).completed, 2u);
   EXPECT_EQ(ms.tenant_report(0).shutdown, 1u);
+}
+
+TEST(MultiShardServer, ParkedSubmittersAreAdmittedInFifoOrder) {
+  MultiShardConfig cfg;
+  cfg.num_shards = 1;
+  cfg.shard.max_batch = 1;
+  cfg.shard.max_wait_ns = 0;
+  cfg.shard.queue_capacity = 8;
+  TenantPolicy patient;  // quota 1, waits when over budget
+  patient.queue_share = 0.125;
+  patient.admission = AdmissionPolicy::kBlock;
+  cfg.tenants = {patient};
+
+  GatedEcho gate;
+  MultiShardServer<int, int> ms(cfg, [&](std::size_t) { return gate.fn(); });
+
+  std::vector<std::thread> clients;
+  clients.emplace_back([&] { EXPECT_EQ(ms.submit(1, 0).status, Status::kOk); });
+  gate.wait_entered();
+  // 2 takes the tenant's queue slot; 3, 4, 5 park, in that order.
+  for (int v = 2; v <= 5; ++v) {
+    clients.emplace_back([&, v] { EXPECT_EQ(ms.submit(v, 0).status, Status::kOk); });
+    EXPECT_TRUE(eventually([&] { return submitted(ms) == static_cast<std::uint64_t>(v); }));
+  }
+  gate.release();
+  for (std::thread& t : clients) t.join();
+  ms.shutdown();
+  EXPECT_EQ(gate.served, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(MultiShardServer, TenantDeadlineCountsFromEntryNotFromAdmission) {
+  // A parked request must not get a fresh deadline when it is finally
+  // admitted: the tenant's relative deadline counts from submit() entry.
+  MultiShardConfig cfg;
+  cfg.num_shards = 1;
+  cfg.shard.max_batch = 1;
+  cfg.shard.max_wait_ns = 0;
+  cfg.shard.queue_capacity = 8;
+  TenantPolicy patient;  // quota 1, waits when over budget, 50 ms SLO
+  patient.queue_share = 0.125;
+  patient.admission = AdmissionPolicy::kBlock;
+  patient.deadline_ns = 50ull * 1000 * 1000;
+  cfg.tenants = {patient};
+
+  GatedEcho gate;
+  MultiShardServer<int, int> ms(cfg, [&](std::size_t) { return gate.fn(); });
+
+  Status queued = Status::kError;
+  Status parked = Status::kError;
+  std::thread first([&] { EXPECT_EQ(ms.submit(1, 0).status, Status::kOk); });
+  gate.wait_entered();
+  std::thread second([&] { queued = ms.submit(2, 0).status; });
+  EXPECT_TRUE(eventually([&] { return submitted(ms) == 2; }));
+  std::thread third([&] { parked = ms.submit(3, 0).status; });
+  EXPECT_TRUE(eventually([&] { return submitted(ms) == 3; }));
+
+  // Both requests entered before `entered_by`; once their deadline has
+  // passed, no admission may revive them.
+  const std::uint64_t entered_by = monotonic_now_ns();
+  while (monotonic_now_ns() <= entered_by + patient.deadline_ns) {
+    std::this_thread::yield();
+  }
+  gate.release();
+  first.join();
+  second.join();
+  third.join();
+  ms.shutdown();
+
+  EXPECT_EQ(queued, Status::kTimedOut);
+  EXPECT_EQ(parked, Status::kTimedOut);
+  EXPECT_EQ(ms.tenant_report(0).shed, 2u);
+  EXPECT_EQ(gate.served, (std::vector<int>{1}));
 }
 
 TEST(MultiShardServer, UnknownTenantThrowsAndLateSubmitGetsShutdownStatus) {
@@ -252,6 +358,163 @@ TEST(MultiShardServer, UnknownTenantThrowsAndLateSubmitGetsShutdownStatus) {
   EXPECT_EQ(ms.submit(1, 0).status, Status::kOk);
   ms.shutdown();
   EXPECT_EQ(ms.submit(2, 0).status, Status::kShutdown);
+}
+
+// --- live vs replay: one policy ---------------------------------------------
+
+/// Backend for the differential test: every batch records (version, ids),
+/// then waits for a permit, so the test decides when each batch finishes —
+/// the live twin of the replay's virtual service time.
+struct StepGate {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<std::pair<std::uint64_t, std::vector<int>>> batches;
+  std::size_t permits = 0;
+
+  Server<int, int>::BatchFn fn(std::uint64_t version) {
+    return [this, version](std::span<const int> batch) {
+      std::unique_lock<std::mutex> lk(mu);
+      batches.emplace_back(version, std::vector<int>(batch.begin(), batch.end()));
+      cv.wait(lk, [this] { return permits > 0; });
+      --permits;
+      return std::vector<int>(batch.begin(), batch.end());
+    };
+  }
+  std::size_t entered() {
+    std::lock_guard<std::mutex> lk(mu);
+    return batches.size();
+  }
+  void release_one() {
+    std::lock_guard<std::mutex> lk(mu);
+    ++permits;
+    cv.notify_all();
+  }
+};
+
+TEST(LiveVsReplay, ScriptedTwoTenantTraceGivesIdenticalOutcomesAndBoundaries) {
+  // Tenant 0: kReject, quota 1 of a 4-slot queue, 1 ns deadline — every
+  // request it gets admitted has expired by its flush. Tenant 1: kBlock,
+  // quota 2. max_batch 2 and an hour-long window: only the size trigger and
+  // the final drain flush. Each live batch is held in the backend until the
+  // script releases it, which is when the replay's 1000 ns of service time
+  // ends; arrivals stamped inside a service interval are submitted while
+  // the live batch is held.
+  constexpr std::uint64_t kService = 1000;
+  const std::vector<TraceEvent> trace = {
+      // idle executor: 0 and 1 fill batch 0 (v0), flushed at t=10
+      {0, 0, 0, 1}, {10, 0, 0, 1},
+      // batch 0 running: 2, 3 queue (tenant 1 at quota), 4 parks, 5 queues,
+      // 6 is rejected (tenant 0 at quota), 7 parks; a swap to v1 lands here
+      {100, 0, 0, 1}, {110, 0, 0, 1}, {120, 0, 0, 1}, {130, 0, 0, 0},
+      {140, 0, 0, 0}, {150, 0, 0, 1},
+      // batch 1 = [2, 3] on v1, admitting 4 then 7 FIFO; 8 parks, 9 rejected
+      {1100, 0, 0, 1}, {1110, 0, 0, 0},
+      // batch 2 = [4], shedding 5, admitting 8; 10 queues
+      {2100, 0, 0, 0},
+      // batch 3 = [7, 8]; 11 and 12 queue
+      {3100, 0, 0, 1}, {3110, 0, 0, 1},
+      // batch 4 = [11], shedding 10; the drain flushes [12]
+  };
+  // Live script: (first request, one past last) submitted while batch
+  // `phase - 1` is held; phase 0 runs on the idle server.
+  const std::vector<std::pair<int, int>> phases = {
+      {0, 2}, {2, 8}, {8, 10}, {10, 11}, {11, 13}};
+  const std::size_t kSwapPhase = 1;
+
+  TenantPolicy reject;
+  reject.admission = AdmissionPolicy::kReject;
+  reject.queue_share = 0.25;
+  reject.deadline_ns = 1;
+  TenantPolicy block;
+  block.admission = AdmissionPolicy::kBlock;
+  block.queue_share = 0.5;
+  ServeConfig serve;
+  serve.max_batch = 2;
+  serve.max_wait_ns = 3600ull * 1000 * 1000 * 1000;
+  serve.queue_capacity = 4;
+
+  ReplayConfig rcfg;
+  rcfg.serve = serve;
+  rcfg.service_ns = kService;
+  rcfg.tenants = {reject, block};
+  rcfg.swaps = {{200, 1}};
+  rcfg.drain_at_ns = 4500;
+  const ReplayResult replay =
+      replay_trace(trace, rcfg, [](std::span<const std::size_t>) {});
+
+  MultiShardConfig mcfg;
+  mcfg.shard = serve;
+  mcfg.tenants = rcfg.tenants;
+  StepGate gate;
+  MultiShardServer<int, int> ms(mcfg, [&](std::size_t) { return gate.fn(0); });
+  std::vector<Status> live(trace.size(), Status::kError);
+  std::vector<std::thread> clients;
+  for (std::size_t p = 0; p < phases.size(); ++p) {
+    if (p > 0) {
+      EXPECT_TRUE(eventually([&] { return gate.entered() == p; }))
+          << "batch " << p - 1 << " never started";
+    }
+    for (int id = phases[p].first; id < phases[p].second; ++id) {
+      clients.emplace_back([&, id] {
+        live[id] = ms.submit(id, 0, trace[id].tenant).status;
+      });
+      EXPECT_TRUE(eventually([&] {
+        return submitted(ms) == static_cast<std::uint64_t>(id + 1);
+      })) << "request " << id << " never reached admission";
+    }
+    if (p == kSwapPhase) {
+      ms.swap_backend([&](std::size_t) { return gate.fn(1); }, 1);
+    }
+    if (p > 0) gate.release_one();
+  }
+  const std::size_t drain_from = phases.size();
+  EXPECT_TRUE(eventually([&] { return gate.entered() == drain_from; }));
+  for (std::size_t i = 0; i < trace.size(); ++i) gate.release_one();
+  ms.shutdown();
+  for (std::thread& t : clients) t.join();
+
+  for (std::size_t id = 0; id < trace.size(); ++id) {
+    EXPECT_EQ(live[id], replay.outcomes[id].status)
+        << "request " << id << ": live " << status_name(live[id]) << ", replay "
+        << status_name(replay.outcomes[id].status);
+  }
+  // Before shutdown only the size trigger can fire (the window is an hour);
+  // batches collated after it are the drain's.
+  ASSERT_EQ(gate.batches.size(), replay.batches.size()) << replay.boundary_log();
+  for (std::size_t b = 0; b < replay.batches.size(); ++b) {
+    const BatchRecord& rec = replay.batches[b];
+    const std::vector<int> ids(rec.executed.begin(), rec.executed.end());
+    EXPECT_EQ(gate.batches[b].second, ids) << "batch " << b;
+    EXPECT_EQ(gate.batches[b].first, rec.version) << "batch " << b;
+    EXPECT_EQ(b < drain_from ? FlushReason::kSize : FlushReason::kDrain, rec.reason)
+        << "batch " << b;
+  }
+
+  const ServerStats ls = ms.stats();
+  const ServerStats& rs = replay.stats;
+  EXPECT_EQ(ls.submitted, rs.submitted);
+  EXPECT_EQ(ls.completed, rs.completed);
+  EXPECT_EQ(ls.rejected, rs.rejected);
+  EXPECT_EQ(ls.shed, rs.shed);
+  EXPECT_EQ(ls.errors, rs.errors);
+  EXPECT_EQ(ls.batches, rs.batches);
+  EXPECT_EQ(ls.executed_requests, rs.executed_requests);
+  EXPECT_EQ(ls.queue_peak, rs.queue_peak);
+  EXPECT_EQ(ls.batch_size_hist, rs.batch_size_hist);
+  for (std::size_t t = 0; t < rcfg.tenants.size(); ++t) {
+    const auto rep = ms.tenant_report(t);
+    const ServerStats& rt = replay.tenant_stats[t];
+    EXPECT_EQ(rep.submitted, rt.submitted) << "tenant " << t;
+    EXPECT_EQ(rep.completed, rt.completed) << "tenant " << t;
+    EXPECT_EQ(rep.rejected, rt.rejected) << "tenant " << t;
+    EXPECT_EQ(rep.shed, rt.shed) << "tenant " << t;
+    EXPECT_EQ(rep.errors, rt.errors) << "tenant " << t;
+  }
+  // The script exercised what it claims to.
+  EXPECT_EQ(rs.rejected, 2u);
+  EXPECT_EQ(rs.shed, 2u);
+  ASSERT_EQ(replay.swaps.size(), 1u);
+  EXPECT_EQ(replay.batches.back().reason, FlushReason::kDrain);
 }
 
 // --- replay: tenant SLO isolation in virtual time ---------------------------
